@@ -9,13 +9,16 @@ source with CMake into $CARGO_TARGET_DIR/perfbench (default
 in a fresh directory under .perfbench_runs/ with GMORPH_TUNE_DB and the other
 GMORPH_* settings unset, so no run reuses a teacher, search result, cache
 entry, tuning entry or transcript from another run. The directory is removed
-afterwards unless PERFBENCH_KEEP=1.
+afterwards.
 
 --trace 0 reports the end-to-end metrics of BENCHMARK.json. --trace 1 runs the
 workload twice with the same seed, untraced and then under the tracer
 (GMORPH_TRACE), and reports the per-layer metrics: the counts and timings the
 benchmark takes around each layer from the untraced run, each layer's self
 time derived from the traced run, and the tracing overhead between the two.
+Self times are left out when the traced run may have lost or torn events
+(trace.stream_gaps not 0), since a lost child span would be counted as its
+parent's self time.
 
 The last line of stdout is the JSON result; build and program logs go to
 stderr. The exit code is non-zero when the build fails, the program fails, or
@@ -47,9 +50,6 @@ STAGES = {
     "eval/finetune": "finetune",
     "eval/score": "score",
 }
-# Manual spans on virtual lanes (serving request lifecycles) are not thread
-# time and are left out of self times.
-FIRST_VIRTUAL_TID = 1000
 RUN_TIMEOUT_S = 170
 
 
@@ -70,13 +70,8 @@ def build():
     return os.path.join(build_dir, "gmorph_perfbench")
 
 
-def run_once(binary, args, traced, inject):
-    """Runs the program in a fresh directory; returns (exit code, result, run dir)."""
-    runs = os.path.join(ROOT, ".perfbench_runs")
-    os.makedirs(runs, exist_ok=True)
-    run_dir = os.path.join(runs, "%s-s%d-%d-%s" % (
-        args.workload, args.seed, os.getpid(), "traced" if traced else "plain"))
-    shutil.rmtree(run_dir, ignore_errors=True)
+def run_once(binary, args, run_dir, traced):
+    """Runs the program in the fresh directory run_dir; returns (exit code, result)."""
     os.makedirs(run_dir)
     env = {k: v for k, v in os.environ.items() if not k.startswith("GMORPH_")}
     env["GMORPH_CACHE_DIR"] = run_dir
@@ -85,8 +80,8 @@ def run_once(binary, args, traced, inject):
         env["GMORPH_TRACE"] = os.path.join(run_dir, "trace.json")
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--run-dir", run_dir]
-    if inject:
-        cmd += ["--inject", inject]
+    if args.inject:
+        cmd += ["--inject", args.inject]
     cmd += ["--spawn-ns", str(time.monotonic_ns())]
     proc = subprocess.run(cmd, cwd=run_dir, env=env, stdout=subprocess.PIPE,
                           stderr=sys.stderr, text=True, timeout=RUN_TIMEOUT_S)
@@ -97,29 +92,13 @@ def run_once(binary, args, traced, inject):
             result = json.loads(lines[-1])
         except json.JSONDecodeError:
             result = None
-    return proc.returncode, result, run_dir
+    return proc.returncode, result
 
 
 def load_events(run_dir):
-    """Complete events of a traced run: the streamed polls plus the exit dump."""
-    seen = set()
-    events = []
-
-    def add(ev):
-        if ev.get("ph") != "X":
-            return
-        key = (ev["tid"], ev["ts"], ev["dur"], ev["name"])
-        if key not in seen:
-            seen.add(key)
-            events.append(ev)
-
+    """Complete events of a traced run, as the program streamed them."""
     with open(os.path.join(run_dir, "trace-stream.jsonl")) as f:
-        for line in f:
-            add(json.loads(line))
-    with open(os.path.join(run_dir, "trace.json")) as f:
-        for ev in json.load(f)["traceEvents"]:
-            add(ev)
-    return events
+        return [ev for ev in map(json.loads, f) if ev.get("ph") == "X"]
 
 
 def layer_of(name, cat):
@@ -144,8 +123,7 @@ def self_times(events):
     """Yields (event, self microseconds): duration minus direct children."""
     by_tid = collections.defaultdict(list)
     for ev in events:
-        if ev["tid"] < FIRST_VIRTUAL_TID:
-            by_tid[ev["tid"]].append(ev)
+        by_tid[ev["tid"]].append(ev)
     for evs in by_tid.values():
         evs.sort(key=lambda e: (e["ts"], -e["dur"]))
         stack = []  # [end, child microseconds, event]
@@ -161,22 +139,23 @@ def self_times(events):
             yield ev, max(0.0, ev["dur"] - child)
 
 
-def trace_metrics(run_dir, recorded):
+def trace_metrics(run_dir, gaps):
     events = load_events(run_dir)
+    metrics = {"trace.events": (len(events), "count"), "trace.stream_gaps": (gaps, "count")}
+    if gaps:
+        log("run.py: the trace stream had %d gaps; self times left out" % gaps)
+        return metrics
     layers = collections.defaultdict(float)
     stages = collections.defaultdict(float)
     for ev, self_us in self_times(events):
         layers[layer_of(ev["name"], ev.get("cat", ""))] += self_us
         if ev["name"] in STAGES:
             stages[STAGES[ev["name"]]] += self_us
-    metrics = {}
     for layer, us in layers.items():
         metrics["self.%s_s" % layer] = (us / 1e6, "s")
     for stage in STAGES.values():
         if stages:
             metrics["core.stage.%s_s" % stage] = (stages[stage] / 1e6, "s")
-    metrics["trace.events"] = (len(events), "count")
-    metrics["trace.lost_events"] = (max(0, recorded - len(events)), "count")
     return metrics
 
 
@@ -187,6 +166,34 @@ def result_line(correct, attempted, failed, metrics):
         "failed": int(failed),
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in sorted(metrics.items())},
     })
+
+
+def measure(binary, args, work, wanted):
+    """Runs the workload (twice for --trace 1) under work/; returns
+    (correct, untraced result, metrics) or None if a run printed no result."""
+    code, plain = run_once(binary, args, os.path.join(work, "plain"), traced=False)
+    if plain is None:
+        log("run.py: the program printed no result (exit code %d)" % code)
+        return None
+    correct = plain["correct"] and code == 0
+    metrics = {}
+    if args.trace:
+        traced_dir = os.path.join(work, "traced")
+        code, traced = run_once(binary, args, traced_dir, traced=True)
+        if traced is None:
+            log("run.py: the traced run printed no result (exit code %d)" % code)
+            return None
+        correct = correct and traced["correct"] and code == 0
+        metrics.update(trace_metrics(
+            traced_dir, int(traced["metrics"]["trace.stream_gaps"]["value"])))
+        primary = PRIMARY[args.workload]
+        metrics["trace.overhead_pct"] = (
+            100.0 * (traced["metrics"][primary]["value"] / plain["metrics"][primary]["value"] - 1.0),
+            "%")
+    for name, m in plain["metrics"].items():
+        if name in wanted and m["value"] is not None:
+            metrics.setdefault(name, (m["value"], m["unit"]))
+    return correct, plain, {k: v for k, v in metrics.items() if k in wanted}
 
 
 def main():
@@ -208,33 +215,19 @@ def main():
     except (subprocess.CalledProcessError, OSError) as err:
         log("run.py: building the benchmark failed: %s" % err)
         return 1
-    code, plain, plain_dir = run_once(binary, args, traced=False, inject=args.inject)
-    dirs = [plain_dir]
-    if plain is None:
-        log("run.py: the program printed no result (exit code %d)" % code)
+    runs = os.path.join(ROOT, ".perfbench_runs")
+    work = os.path.join(runs, "%s-s%d-%d" % (args.workload, args.seed, os.getpid()))
+    try:
+        result = measure(binary, args, work, wanted)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+        try:
+            os.rmdir(runs)
+        except OSError:
+            pass  # other runs still use it
+    if result is None:
         return 1
-    final, correct = plain, plain["correct"] and code == 0
-    metrics = {}
-    if args.trace:
-        code, traced, traced_dir = run_once(binary, args, traced=True, inject=args.inject)
-        dirs.append(traced_dir)
-        if traced is None:
-            log("run.py: the traced run printed no result (exit code %d)" % code)
-            return 1
-        correct = correct and traced["correct"] and code == 0
-        recorded = int(traced["metrics"]["trace.recorded_events"]["value"])
-        metrics.update(trace_metrics(traced_dir, recorded))
-        primary = PRIMARY[args.workload]
-        metrics["trace.overhead_pct"] = (
-            100.0 * (traced["metrics"][primary]["value"] / plain["metrics"][primary]["value"] - 1.0),
-            "%")
-    for name, m in final["metrics"].items():
-        if name in wanted and m["value"] is not None:
-            metrics.setdefault(name, (m["value"], m["unit"]))
-    metrics = {k: v for k, v in metrics.items() if k in wanted}
-    if os.environ.get("PERFBENCH_KEEP") != "1":
-        for d in dirs:
-            shutil.rmtree(d, ignore_errors=True)
+    correct, final, metrics = result
     print(result_line(correct, final["attempted"], final["failed"], metrics), flush=True)
     return 0 if correct else 1
 

@@ -14,14 +14,9 @@
 
 #include "src/kernels/scratch.h"
 #include "src/obs/proc_stats.h"
-#include "src/obs/timing.h"
+#include "src/serving/scheduler.h"
 
 namespace perfbench {
-namespace {
-
-int64_t g_main_start_ns = 0;
-
-}  // namespace
 
 void Report::Metric(const std::string& name, double value, const std::string& unit) {
   metrics_[name] = Value{value, unit};
@@ -43,7 +38,7 @@ std::string Report::Json() const {
   std::ostringstream os;
   os.precision(10);
   os << "{\"correct\": " << (correct() ? "true" : "false") << ", \"attempted\": " << attempted_
-     << ", \"failed\": 0, \"metrics\": {";
+     << ", \"failed\": " << failed_ << ", \"metrics\": {";
   bool first = true;
   for (const auto& [name, v] : metrics_) {
     os << (first ? "" : ", ") << "\"" << name << "\": {\"value\": ";
@@ -65,11 +60,8 @@ int64_t NowNs() {
   return static_cast<int64_t>(ts.tv_sec) * 1000000000LL + ts.tv_nsec;
 }
 
-void MarkMainStart() { g_main_start_ns = NowNs(); }
-
 double SetupSeconds(const Args& args) {
-  const int64_t origin = args.spawn_ns > 0 ? args.spawn_ns : g_main_start_ns;
-  return static_cast<double>(NowNs() - origin) / 1e9;
+  return static_cast<double>(NowNs() - args.spawn_ns) / 1e9;
 }
 
 int64_t HeapBytesNow() {
@@ -116,6 +108,12 @@ TraceStream::TraceStream(const std::string& path) : out_(path) {
 }
 
 TraceStream::~TraceStream() {
+  if (thread_.joinable()) {
+    Finish();
+  }
+}
+
+void TraceStream::Finish() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
@@ -125,34 +123,79 @@ TraceStream::~TraceStream() {
   Poll();
 }
 
+namespace {
+
+// Events recorded so far, over every thread (never decreases).
+int64_t RecordedEvents() {
+  return static_cast<int64_t>(gmorph::obs::TraceEventCount() +
+                              gmorph::obs::TraceDroppedCount());
+}
+
+}  // namespace
+
 void TraceStream::Poll() {
-  const int64_t now = gmorph::MonotonicNowNs();
+  const int64_t recorded_before = RecordedEvents();
   const std::string json = gmorph::obs::TraceToJson();
-  // The export writes one complete event per line:
-  //   {"name":..,"cat":..,"ph":"X",..,"ts":<us>,"dur":<us>}
+  const int64_t recorded_during = RecordedEvents() - recorded_before;
+  // The export writes one event per line, each thread's ring oldest first:
+  //   {"name":..,"cat":..,"ph":"X","pid":1,"tid":<n>,"ts":<us>,"dur":<us>}
+  // Virtual-lane events sit in the rings of the threads that recorded them;
+  // a run of them between two threads' events counts for both.
+  std::map<int, std::vector<std::string_view>> by_thread;
+  std::map<int, int64_t> virtual_events;
+  int64_t pending_virtual = 0;
+  int thread = -1;
   size_t pos = 0;
   while (pos < json.size()) {
     size_t end = json.find('\n', pos);
     if (end == std::string::npos) {
       end = json.size();
     }
-    const std::string_view line(json.data() + pos, end - pos);
+    std::string_view line(json.data() + pos, end - pos);
     pos = end + 1;
-    const size_t ts = line.rfind(",\"ts\":");
-    const size_t dur = line.rfind(",\"dur\":");
-    if (line.find("\"ph\":\"X\"") == std::string_view::npos || ts == std::string_view::npos ||
-        dur == std::string_view::npos) {
+    const size_t at = line.find(",\"tid\":");
+    if (line.find("\"ph\":\"X\"") == std::string_view::npos || at == std::string_view::npos) {
       continue;
     }
-    const double ts_us = std::strtod(line.data() + ts + 6, nullptr);
-    const double dur_us = std::strtod(line.data() + dur + 7, nullptr);
-    if ((ts_us + dur_us) * 1e3 >= static_cast<double>(since_ns_)) {
-      const std::string_view event = line.substr(0, line.rfind('}') + 1);
-      out_ << event << '\n';
+    const int tid = std::atoi(line.data() + at + 7);
+    if (tid >= gmorph::kServingServerLane) {
+      ++pending_virtual;
+      continue;
     }
+    if (tid != thread) {
+      virtual_events[thread] += pending_virtual;
+    }
+    virtual_events[tid] += pending_virtual;
+    pending_virtual = 0;
+    thread = tid;
+    by_thread[tid].push_back(line.substr(0, line.rfind('}') + 1));
+  }
+  virtual_events[thread] += pending_virtual;
+  for (const auto& [tid, lines] : by_thread) {
+    // Whether this thread's ring may have been full during the export.
+    const bool may_be_full = static_cast<int64_t>(lines.size()) + virtual_events[tid] +
+                                 recorded_during >= kRingCapacity;
+    std::string& last = last_event_[tid];
+    size_t first_new = 0;
+    if (!last.empty()) {
+      size_t after = lines.size();
+      while (after > 0 && lines[after - 1] != last) {
+        --after;
+      }
+      // lines[after - 1] is the event written last time.
+      if (after == 0 || (may_be_full && static_cast<int64_t>(after - 1) < recorded_during)) {
+        ++gaps_;
+      }
+      first_new = after;
+    } else if (may_be_full) {
+      ++gaps_;  // first seen with a ring that may have wrapped already
+    }
+    for (size_t i = first_new; i < lines.size(); ++i) {
+      out_ << lines[i] << '\n';
+    }
+    last = std::string(lines.back());
   }
   out_.flush();
-  since_ns_ = now - kOverlapMs * 1000000;
 }
 
 double RowErr(const gmorph::Tensor& a, int64_t row_a, const gmorph::Tensor& b, int64_t row_b,

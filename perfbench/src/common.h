@@ -23,13 +23,13 @@ struct Args {
   uint64_t seed = 1;
   double seconds = 10.0;
   // CLOCK_MONOTONIC nanoseconds at which the launcher spawned this process;
-  // set-up time is measured from there. 0: from the start of main().
+  // set-up time is measured from there.
   int64_t spawn_ns = 0;
   // Deliberate fault for the negative tests (see README.md); empty in
   // measured runs.
   std::string inject;
   // Directory of this run's artifacts (fresh per run).
-  std::string run_dir = ".";
+  std::string run_dir;
 };
 
 // Collects metrics and check outcomes, then prints the one-line JSON result.
@@ -41,10 +41,13 @@ class Report {
   // Checks `ok`; on false records `what` as a failure. Returns `ok`.
   bool Check(bool ok, const std::string& what);
 
+  // Operations the workload ran, and those of them whose output failed a
+  // check (each such failure is also a failed check).
   void AddAttempted(int64_t n) { attempted_ += n; }
+  void AddFailed(int64_t n) { failed_ += n; }
   bool correct() const { return failures_ == 0; }
 
-  // {"correct": .., "attempted": .., "failed": 0, "metrics": {..}}
+  // {"correct": .., "attempted": .., "failed": .., "metrics": {..}}
   std::string Json() const;
 
  private:
@@ -54,6 +57,7 @@ class Report {
   };
   std::map<std::string, Value> metrics_;
   int64_t attempted_ = 0;
+  int64_t failed_ = 0;
   int failures_ = 0;
 };
 
@@ -62,10 +66,8 @@ class Report {
 int64_t NowNs();
 inline double MsSince(int64_t start_ns) { return static_cast<double>(NowNs() - start_ns) / 1e6; }
 
-// Seconds from process spawn (or main()) to now: the set-up time metric.
+// Seconds from process spawn to now: the set-up time metric.
 double SetupSeconds(const Args& args);
-// Marks main() entry (fallback origin when no spawn time is given).
-void MarkMainStart();
 
 // Tensor storage plus kernel scratch bytes allocated process-wide so far.
 int64_t HeapBytesNow();
@@ -91,27 +93,41 @@ class LayerSpan : public gmorph::obs::TraceSpan {
   explicit LayerSpan(const char* name) : TraceSpan(name, gmorph::obs::TraceCat::kBench) {}
 };
 
-// While tracing is on, appends every event recorded since the previous poll
-// to `path` (one JSON event per line) every kPollMs, so spans that the
-// tracer's fixed per-thread rings overwrite before exit still reach the
-// analysis. Consecutive polls overlap by kOverlapMs; readers drop duplicate
-// events.
+// While tracing is on, appends the events each thread recorded since the
+// previous poll to `path` (one JSON event per line) every kPollMs, so spans
+// that the tracer's fixed per-thread rings overwrite before exit still reach
+// the analysis; every event is written exactly once. Spans on the serving
+// server's virtual request lanes are not thread time and are left out.
+//
+// The tracer's export reads a ring while its thread may be overwriting the
+// ring's oldest slots, so the oldest events of a full ring can come out torn.
+// A poll therefore writes, per thread, only the events after the newest one
+// the previous poll wrote, and counts a gap when that event is gone from the
+// ring, or when the ring may be full and fewer of its events precede that one
+// than were recorded during the export. gaps() > 0 means events may be lost
+// or torn.
 class TraceStream {
  public:
   explicit TraceStream(const std::string& path);
-  ~TraceStream();  // polls once more, then joins
+  ~TraceStream();  // Finish()es if that has not been done
 
   TraceStream(const TraceStream&) = delete;
   TraceStream& operator=(const TraceStream&) = delete;
 
-  static constexpr int kPollMs = 500;
-  static constexpr int64_t kOverlapMs = 100;
+  // Stops the poller and polls once more; call once the workload has ended.
+  void Finish();
+  int64_t gaps() const { return gaps_; }
+
+  static constexpr int kPollMs = 50;
+  // Events a tracer ring holds (ThreadRing::kCapacity in src/obs/trace.cc).
+  static constexpr int64_t kRingCapacity = 1 << 15;
 
  private:
   void Poll();
 
   std::ofstream out_;
-  int64_t since_ns_ = 0;
+  std::map<int, std::string> last_event_;  // per thread: newest event written
+  int64_t gaps_ = 0;
   std::mutex mu_;  // guards stop_
   std::condition_variable wake_;
   bool stop_ = false;

@@ -1,7 +1,7 @@
 // gmorph_perfbench: runs one benchmark workload and prints its metrics.
 //
 //   gmorph_perfbench --workload <search-b1|infer-zoo|serve-bert> --seed <n>
-//                    --seconds <s> [--spawn-ns <ns>] [--run-dir <dir>]
+//                    --seconds <s> --spawn-ns <ns> --run-dir <dir>
 //                    [--inject <fault>]
 //
 // The last line of stdout is one JSON object: {"correct", "attempted",
@@ -40,17 +40,17 @@ bool ParseArgs(int argc, char** argv, perfbench::Args* args) {
       return false;
     }
   }
-  return argc % 2 == 1 && !args->workload.empty() && args->seconds > 0.0;
+  return argc % 2 == 1 && !args->workload.empty() && args->seconds > 0.0 &&
+         args->spawn_ns > 0 && !args->run_dir.empty();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  perfbench::MarkMainStart();
   perfbench::Args args;
   if (!ParseArgs(argc, argv, &args)) {
     std::cerr << "usage: gmorph_perfbench --workload <name> --seed <n> --seconds <s> "
-                 "[--spawn-ns <ns>] [--run-dir <dir>] [--inject <fault>]\n";
+                 "--spawn-ns <ns> --run-dir <dir> [--inject <fault>]\n";
     return 2;
   }
   perfbench::Report report;
@@ -78,11 +78,8 @@ int main(int argc, char** argv) {
   }
   report.Metric("peak_rss_mb", perfbench::PeakRssMb(), "MB");
   if (stream != nullptr) {
-    stream.reset();
-    report.Metric("trace.recorded_events",
-                  static_cast<double>(gmorph::obs::TraceEventCount() +
-                                      gmorph::obs::TraceDroppedCount()),
-                  "count");
+    stream->Finish();
+    report.Metric("trace.stream_gaps", static_cast<double>(stream->gaps()), "count");
   }
   std::cout << report.Json() << std::endl;
   return report.correct() ? 0 : 1;

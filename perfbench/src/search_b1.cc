@@ -8,7 +8,9 @@
 // after a save and reload; re-scored on the test split, every task stays
 // within kDropBudget of its teacher's score; its FusedEngine outputs match
 // eager MultiTaskModel::Forward within kAtol + kRtol * |eager|; its FLOPs do
-// not exceed the original graph's.
+// not exceed the original graph's. The deployment (save, reload, verify,
+// FLOPs), each task's re-score and the FusedEngine comparison each count as
+// one operation, failed when its check fails.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -21,6 +23,8 @@
 #include "src/core/multitask_model.h"
 #include "src/data/benchmarks.h"
 #include "src/data/teacher.h"
+#include "src/nn/loss.h"
+#include "src/nn/optimizer.h"
 #include "src/runtime/fused_engine.h"
 
 namespace perfbench {
@@ -44,6 +48,8 @@ constexpr int kFoundPasses = 12;
 constexpr double kAtol = 1e-4;
 constexpr double kRtol = 1e-3;
 constexpr int64_t kEvalBatch = 32;
+// Epochs over the training split behind nn.train_samples_per_s.
+constexpr int kThroughputEpochs = 4;
 
 gmorph::BenchmarkScale SearchScale() {
   gmorph::BenchmarkScale s;
@@ -96,6 +102,44 @@ double Accuracy(const gmorph::MultiTaskDataset& test, size_t task, Forward forwa
   return static_cast<double>(hits) / static_cast<double>(test.size());
 }
 
+// Training samples per second of src/nn on the found graph, trained the way
+// distillation fine-tuning trains a candidate: Forward in training mode, L1
+// loss to the teachers' logits, Backward and an Adam step per batch of the
+// search's fine-tuning batch size.
+double TrainSamplesPerSecond(const gmorph::AbsGraph& graph,
+                             const std::vector<gmorph::TaskModel*>& teachers,
+                             const gmorph::MultiTaskDataset& train,
+                             const gmorph::FinetuneOptions& finetune) {
+  const int64_t n = train.size();
+  // targets[b][t]: teacher t's logits on batch b.
+  std::vector<std::vector<Tensor>> targets;
+  for (int64_t start = 0; start < n; start += finetune.batch_size) {
+    const Tensor x = train.InputBatch(start, std::min(finetune.batch_size, n - start));
+    targets.emplace_back();
+    for (gmorph::TaskModel* teacher : teachers) {
+      targets.back().push_back(teacher->Forward(x, /*training=*/false));
+    }
+  }
+  gmorph::Rng rng(kInstance * 53 + 5);
+  gmorph::MultiTaskModel student(graph, rng);
+  gmorph::Adam optimizer(student.Parameters(), finetune.lr);
+  const int64_t start_ns = NowNs();
+  for (int epoch = 0; epoch < kThroughputEpochs; ++epoch) {
+    for (size_t b = 0; b < targets.size(); ++b) {
+      const int64_t start = static_cast<int64_t>(b) * finetune.batch_size;
+      const std::vector<Tensor> outs = student.Forward(
+          train.InputBatch(start, std::min(finetune.batch_size, n - start)), /*training=*/true);
+      std::vector<Tensor> grads(outs.size());
+      for (size_t t = 0; t < outs.size(); ++t) {
+        gmorph::L1Loss(outs[t], targets[b][t], grads[t]);
+      }
+      student.Backward(grads);
+      optimizer.Step();
+    }
+  }
+  return static_cast<double>(kThroughputEpochs * n) / (MsSince(start_ns) / 1e3);
+}
+
 }  // namespace
 
 void RunSearchB1(const Args& args, Report& report) {
@@ -112,14 +156,10 @@ void RunSearchB1(const Args& args, Report& report) {
     gmorph::TrainTeacher(*teachers.back(), def.train, def.test, t, opts);
     teacher_ptrs.push_back(teachers.back().get());
   }
-  const double train_s = MsSince(train_start) / 1e3;
-  report.Metric("data.teacher_train_s", train_s, "s");
-  report.Metric("nn.train_samples_per_s",
-                static_cast<double>(kTeacherEpochs * def.train.size()) *
-                    static_cast<double>(def.tasks.size()) / train_s,
-                "1/s");
+  report.Metric("data.teacher_train_s", MsSince(train_start) / 1e3, "s");
 
-  gmorph::GMorph gm(teacher_ptrs, &def.train, &def.test, SearchOptions(args));
+  const gmorph::GMorphOptions options = SearchOptions(args);
+  gmorph::GMorph gm(teacher_ptrs, &def.train, &def.test, options);
   report.Metric("setup_s", SetupSeconds(args), "s");
   gmorph::GMorphResult result;
   {
@@ -145,19 +185,34 @@ void RunSearchB1(const Args& args, Report& report) {
   report.Metric("core.search.useful_ratio",
                 static_cast<double>(met) / static_cast<double>(result.trace.size()), "ratio");
   report.AddAttempted(static_cast<int64_t>(result.trace.size()));
+  report.Metric("nn.train_samples_per_s",
+                TrainSamplesPerSecond(result.best_graph, teacher_ptrs, def.train,
+                                      options.finetune),
+                "1/s");
 
   // Deploy the found graph the way a user would: save, reload, verify.
+  report.AddAttempted(1);
   const std::string path = args.run_dir + "/found.gmorph";
-  report.Check(gmorph::SaveGraph(path, result.best_graph), "saving the found graph failed");
-  gmorph::GraphLoadResult loaded = gmorph::TryLoadGraph(path);
+  gmorph::GraphLoadResult loaded;
+  if (report.Check(gmorph::SaveGraph(path, result.best_graph), "saving the found graph failed")) {
+    loaded = gmorph::TryLoadGraph(path);
+  }
   if (!report.Check(loaded.ok(), "reloading the found graph failed")) {
+    report.AddFailed(1);
     return;
   }
   gmorph::AbsGraph& found_graph = *loaded.graph;
+  if (args.inject == "corrupt-shape") {
+    gmorph::Shape& shape = found_graph.mutable_node(1).output_shape;
+    shape = shape.WithBatch(2);
+  }
   gmorph::GraphVerifyOptions verify;
   verify.roundtrip = true;
-  report.Check(gmorph::VerifyGraph(found_graph, verify).ok(),
-               "the found graph fails the GraphVerifier");
+  if (!report.Check(gmorph::VerifyGraph(found_graph, verify).ok(),
+                    "the found graph fails the GraphVerifier")) {
+    report.AddFailed(1);
+    return;
+  }
   if (args.inject == "over-budget") {
     for (int id = 0; id < found_graph.size(); ++id) {
       if (found_graph.node(id).IsHead()) {
@@ -169,11 +224,17 @@ void RunSearchB1(const Args& args, Report& report) {
   }
 
   const double orig_flops = static_cast<double>(gm.original_graph().TotalFlops());
-  const double found_flops = static_cast<double>(found_graph.TotalFlops());
+  double found_flops = static_cast<double>(found_graph.TotalFlops());
+  if (args.inject == "more-flops") {
+    found_flops = orig_flops * 1.5;
+  }
   report.Metric("core.search.orig_mflops", orig_flops / 1e6, "MFLOP");
   report.Metric("core.search.found_mflops", found_flops / 1e6, "MFLOP");
   report.Metric("flops_speedup", orig_flops / found_flops, "x");
-  report.Check(found_flops <= orig_flops, "the found graph has more FLOPs than the original");
+  if (!report.Check(found_flops <= orig_flops,
+                    "the found graph has more FLOPs than the original")) {
+    report.AddFailed(1);
+  }
 
   gmorph::Rng model_rng(kInstance * 31 + 7);
   gmorph::MultiTaskModel found(found_graph, model_rng);
@@ -231,9 +292,13 @@ void RunSearchB1(const Args& args, Report& report) {
     });
     report.Check(def.tasks[t].metric == gmorph::MetricKind::kAccuracy,
                  "B1 task " + std::to_string(t) + " is not scored by accuracy");
-    report.Check(fused >= teacher - kDropBudget - 1e-9,
-                 "task " + std::to_string(t) + ": found graph scores " + std::to_string(fused) +
-                     " against teacher " + std::to_string(teacher) + ", over the 1% budget");
+    report.AddAttempted(1);
+    if (!report.Check(fused >= teacher - kDropBudget - 1e-9,
+                      "task " + std::to_string(t) + ": found graph scores " +
+                          std::to_string(fused) + " against teacher " + std::to_string(teacher) +
+                          ", over the 1% budget")) {
+      report.AddFailed(1);
+    }
   }
   const Tensor batch = def.test.InputBatch(0, kEvalBatch);
   const std::vector<Tensor> eager = found.Forward(batch, /*training=*/false);
@@ -244,13 +309,16 @@ void RunSearchB1(const Args& args, Report& report) {
   if (args.inject == "fused-mismatch") {
     fused[0].at(0) += 0.05f;
   }
+  report.AddAttempted(1);
+  bool fused_ok = true;
   for (size_t t = 0; t < eager.size(); ++t) {
     for (int64_t r = 0; r < kEvalBatch; ++r) {
-      report.Check(RowErr(fused[t], r, eager[t], r, kAtol, kRtol) <= 1.0,
-                   "task " + std::to_string(t) + " row " + std::to_string(r) +
-                       ": FusedEngine output of the found graph differs from eager");
+      fused_ok &= report.Check(RowErr(fused[t], r, eager[t], r, kAtol, kRtol) <= 1.0,
+                               "task " + std::to_string(t) + " row " + std::to_string(r) +
+                                   ": FusedEngine output of the found graph differs from eager");
     }
   }
+  report.AddFailed(fused_ok ? 0 : 1);
 }
 
 }  // namespace perfbench

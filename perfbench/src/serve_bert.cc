@@ -2,10 +2,10 @@
 // graph (BERT-Large-s + BERT-Base-s), max batch 8, no SLA shedding, under an
 // open loop driven by one generator thread in four phases:
 //
-//   moderate  Poisson arrivals at kModerateRps for 30% of the run
-//   high      Poisson arrivals at kHighRps for 30% of the run
-//   burst     kPeakRpsGuess * 15% of the run requests, all due at once
-//   swap      bursty arrivals for 25% of the run, one hot-swap every
+//   moderate  Poisson arrivals at kModerateRps for 25% of the run
+//   high      Poisson arrivals at kHighRps for 15% of the run
+//   burst     kPeakRpsGuess * 40% of the run requests, all due at once
+//   swap      bursty arrivals for 20% of the run, one hot-swap every
 //             kSwapPeriodMs
 //
 // Every request carries a seeded token-id row. Request g sends payload
@@ -17,6 +17,8 @@
 // row's output matches the eager batch-1 output for its payload within
 // kAtol + kRtol * |reference|; the servers' completed counts equal the rows
 // the wrappers saw and the requests submitted (no admitted request lost).
+// Each request is one operation, failed when it never completed or its output
+// differs from the reference.
 #include <time.h>
 
 #include <algorithm>
@@ -51,6 +53,14 @@ constexpr double kModerateRps = 840.0;
 constexpr double kHighRps = 1575.0;
 // Sizes the saturating burst; the burst's own throughput is measured.
 constexpr double kPeakRpsGuess = 2100.0;
+// Shares of the run per phase. The burst gets the largest: the throughput
+// two replicas reach drifts by up to a quarter from second to second on a
+// shared VM (1840-2360 req/s in successive 1 s windows of one burst), so
+// serve_peak_rps needs the longest average.
+constexpr double kModerateShare = 0.25;
+constexpr double kHighShare = 0.15;
+constexpr double kBurstShare = 0.40;
+constexpr double kSwapShare = 0.20;
 // Swap phase: bursts at 3x the moderate rate, quiet gaps at a third of it.
 constexpr double kBurstFactor = 3.0;
 constexpr double kBurstPhaseMs = 50.0;
@@ -187,6 +197,7 @@ class ServeBench {
   gmorph::AbsGraph weighted_;
   gmorph::Shape row_shape_;
   std::vector<Tensor> payloads_;
+  Tensor stray_;  // a row of no payload, sent only under --inject stray-row
   std::unique_ptr<ServeLog> log_;
   std::vector<double> plan_build_ms_;
   std::vector<double> swap_ms_;
@@ -222,7 +233,13 @@ void WaitUntil(int64_t due_ns) {
 void ServeBench::RunPhase(Phase& phase, gmorph::ReplicaPool& pool, int64_t* next_request) {
   gmorph::ServerOptions options;
   options.max_batch = kMaxBatch;
-  gmorph::ThreadedServer server(&pool, gmorph::ServiceTimeTable(), options);
+  gmorph::ServiceTimeTable table;
+  if (args_.inject == "shed-requests" && phase.name == "moderate") {
+    // A deadline no batch can meet: the server sheds every request.
+    options.sla_ms = 1.0;
+    table = gmorph::ServiceTimeTable(std::vector<double>(kMaxBatch, 1000.0));
+  }
+  gmorph::ThreadedServer server(&pool, table, options);
   const int64_t rows0 = log_->rows.load();
   const int64_t batches0 = log_->batches.load();
   phase.first_request = *next_request;
@@ -243,9 +260,13 @@ void ServeBench::RunPhase(Phase& phase, gmorph::ReplicaPool& pool, int64_t* next
   for (double arrival : phase.arrivals_ms) {
     const int64_t due = phase.start_ns + static_cast<int64_t>(arrival * 1e6);
     WaitUntil(due);
+    const Tensor* row = &payloads_[static_cast<size_t>(*next_request % kPayloads)];
+    if (args_.inject == "stray-row" && *next_request == 0) {
+      row = &stray_;
+    }
     {
       LayerSpan span("pb/serving/Submit");
-      server.Submit(&payloads_[static_cast<size_t>(*next_request % kPayloads)]);
+      server.Submit(row);
     }
     phase.late_ms.push_back(MsSince(due));
     phase.due_ns.push_back(due);
@@ -290,17 +311,17 @@ void ServeBench::Run() {
   std::vector<Phase> phases(4);
   phases[0].name = "moderate";
   phases[0].arrivals_ms = gmorph::GenerateArrivalsMs(
-      kModerateRps, static_cast<int>(kModerateRps * 0.30 * T), args_.seed * 4 + 1);
+      kModerateRps, static_cast<int>(kModerateRps * kModerateShare * T), args_.seed * 4 + 1);
   phases[1].name = "high";
   phases[1].arrivals_ms = gmorph::GenerateArrivalsMs(
-      kHighRps, static_cast<int>(kHighRps * 0.30 * T), args_.seed * 4 + 2);
+      kHighRps, static_cast<int>(kHighRps * kHighShare * T), args_.seed * 4 + 2);
   phases[2].name = "burst";
-  phases[2].arrivals_ms.assign(static_cast<size_t>(kPeakRpsGuess * 0.15 * T), 0.0);
+  phases[2].arrivals_ms.assign(static_cast<size_t>(kPeakRpsGuess * kBurstShare * T), 0.0);
   phases[3].name = "swap";
   phases[3].arrivals_ms = gmorph::GenerateBurstyArrivalsMs(
-      kModerateRps, kBurstFactor, kBurstPhaseMs, static_cast<int>(kModerateRps * 0.25 * T),
+      kModerateRps, kBurstFactor, kBurstPhaseMs, static_cast<int>(kModerateRps * kSwapShare * T),
       args_.seed * 4 + 3);
-  phases[3].swaps = static_cast<int>(0.25 * T * 1000.0 / kSwapPeriodMs) - 1;
+  phases[3].swaps = static_cast<int>(kSwapShare * T * 1000.0 / kSwapPeriodMs) - 1;
   int64_t total = 0;
   for (const Phase& p : phases) {
     total += static_cast<int64_t>(p.arrivals_ms.size());
@@ -322,6 +343,10 @@ void ServeBench::Run() {
     payloads_.push_back(std::move(row));
   }
   log_->row_elems = row_elems;
+  stray_ = payloads_[0].Clone();
+  while (log_->payload_of.count(HashRow(stray_.data(), row_elems)) != 0) {
+    stray_.at(1) = static_cast<float>((static_cast<int64_t>(stray_.at(1)) + 1) % vocab);
+  }
   {
     std::vector<Tensor> probe = seeded.Forward(payloads_[0], /*training=*/false);
     for (const Tensor& t : probe) {
@@ -432,15 +457,16 @@ void ServeBench::Run() {
     }
     const float* got = log_->outputs.data() + g * log_->out_width;
     const std::vector<Tensor>& ref = reference[static_cast<size_t>(g % kPayloads)];
+    bool ok = true;
     for (size_t t = 0; t < ref.size(); ++t) {
       const Tensor row = Tensor::FromVector(ref[t].shape(),
                                             std::vector<float>(got, got + ref[t].size()));
       got += ref[t].size();
-      if (RowErr(row, 0, ref[t], 0, kAtol, kRtol) > 1.0) {
-        ++wrong;
-      }
+      ok &= RowErr(row, 0, ref[t], 0, kAtol, kRtol) <= 1.0;
     }
+    wrong += ok ? 0 : 1;
   }
+  report_.AddFailed(missing + wrong);
   report_.Check(missing == 0, std::to_string(missing) + " requests never completed");
   report_.Check(wrong == 0, std::to_string(wrong) +
                                 " served outputs differ from the batch-1 reference of their payload");
