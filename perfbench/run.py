@@ -16,13 +16,15 @@ workload twice with the same seed, untraced and then under the tracer
 (GMORPH_TRACE), and reports the per-layer metrics: the counts and timings the
 benchmark takes around each layer from the untraced run, each layer's self
 time derived from the traced run, and the tracing overhead between the two.
-Self times are left out when the traced run may have lost or torn events
-(trace.stream_gaps not 0), since a lost child span would be counted as its
-parent's self time.
+Every workload reports every metric of the list it prints; the workload's
+other figures go to stderr on one "perfbench details:" line.
 
 The last line of stdout is the JSON result; build and program logs go to
 stderr. The exit code is non-zero when the build fails, the program fails, or
-a correctness check fails.
+a correctness check fails. No result is printed when a run that passed its
+checks misses a metric of the list, e.g. self times left out because the
+traced run may have lost or torn events (trace.stream_gaps not 0): a lost
+child span would be counted as its parent's self time.
 """
 
 import argparse
@@ -41,7 +43,7 @@ ROOT = os.path.dirname(HERE)
 # all, counting the serving workers and the load generator.
 THREADS = {"search-b1": 1, "infer-zoo": 2, "serve-bert": 1}
 # The end-to-end metric tracing overhead is reported against.
-PRIMARY = {"search-b1": "search_s", "infer-zoo": "infer_b1_ms", "serve-bert": "serve_p50_ms"}
+PRIMARY = "latency_ms"
 # Spans the search emits for its stages (src/core).
 STAGES = {
     "search/sample": "sample",
@@ -186,13 +188,20 @@ def measure(binary, args, work, wanted):
         correct = correct and traced["correct"] and code == 0
         metrics.update(trace_metrics(
             traced_dir, int(traced["metrics"]["trace.stream_gaps"]["value"])))
-        primary = PRIMARY[args.workload]
         metrics["trace.overhead_pct"] = (
-            100.0 * (traced["metrics"][primary]["value"] / plain["metrics"][primary]["value"] - 1.0),
+            100.0 * (traced["metrics"][PRIMARY]["value"] / plain["metrics"][PRIMARY]["value"] - 1.0),
             "%")
     for name, m in plain["metrics"].items():
-        if name in wanted and m["value"] is not None:
+        if m["value"] is not None:
             metrics.setdefault(name, (m["value"], m["unit"]))
+    # The workload's own metrics beyond the manifest's, for a reader.
+    log("perfbench details: " + json.dumps(
+        {k: v for k, (v, _) in sorted(metrics.items()) if k not in wanted}))
+    missing = sorted(wanted - set(metrics))
+    if missing:
+        log("run.py: the workload did not report " + ", ".join(missing))
+        if correct:
+            return None  # a run that passed its checks must report every metric
     return correct, plain, {k: v for k, v in metrics.items() if k in wanted}
 
 

@@ -76,6 +76,29 @@ double PeakRssMb() {
   return static_cast<double>(mem.peak_rss_bytes) / (1024.0 * 1024.0);
 }
 
+bool IsFallbackStep(const gmorph::FusedEngine::StepProfile& step) {
+  return step.label.find("(module)") != std::string::npos;
+}
+
+void KernelWork::Add(const std::vector<gmorph::FusedEngine::StepProfile>& profile,
+                     double samples) {
+  for (const gmorph::FusedEngine::StepProfile& step : profile) {
+    if (!IsFallbackStep(step)) {
+      flops += step.flops * samples;
+      ms += step.total_ms;
+    }
+  }
+}
+
+double AttributedFlopsShare(const std::vector<gmorph::FusedEngine::StepProfile>& profile,
+                            double graph_flops) {
+  double step_flops = 0.0;
+  for (const gmorph::FusedEngine::StepProfile& step : profile) {
+    step_flops += step.flops;
+  }
+  return step_flops / graph_flops;
+}
+
 double Median(std::vector<double> values) { return Quantile(std::move(values), 0.5); }
 
 double Quantile(std::vector<double> values, double q) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/obs/trace.h"
+#include "src/runtime/fused_engine.h"
 #include "src/tensor/tensor.h"
 
 namespace perfbench {
@@ -84,6 +85,23 @@ double Median(std::vector<double> values);
 // Quantile q in [0, 1] with linear interpolation between order statistics.
 double Quantile(std::vector<double> values, double q);
 double GeoMean(const std::vector<double>& values);
+
+// What a FusedEngine::Profile() says about a plan's kernel steps (every
+// step but the opaque module fallbacks): FLOPs run and time spent in them.
+struct KernelWork {
+  double flops = 0.0;
+  double ms = 0.0;
+  // Adds the kernel steps of `profile`, taken after `samples` samples ran
+  // since the engine's last ResetProfile().
+  void Add(const std::vector<gmorph::FusedEngine::StepProfile>& profile, double samples);
+  double Gflops() const { return flops / ms / 1e6; }
+};
+
+bool IsFallbackStep(const gmorph::FusedEngine::StepProfile& step);
+// Sum of the per-sample FLOPs of every step of a plan, over the graph's
+// FLOPs (AbsGraph::TotalFlops): the share of the work the plan attributes.
+double AttributedFlopsShare(const std::vector<gmorph::FusedEngine::StepProfile>& profile,
+                            double graph_flops);
 
 // Span the benchmark records around one call into a layer, named
 // "pb/<layer>/<call>"; a no-op unless tracing is on. The trace analysis in

@@ -49,13 +49,13 @@ struct ZooModel {
   int64_t runs = 0;
 };
 
-// Step kind of a FusedEngine::Profile() label ("conv 3->8 k3s1 +bn +relu",
-// "res.conv2 ...", "linear 64->32", "Transformer (module)", ...).
-std::string StepKind(const std::string& label) {
-  if (label.find("(module)") != std::string::npos) {
+// Step kind of a FusedEngine::Profile() step, from its label ("conv 3->8
+// k3s1 +bn +relu", "res.conv2 ...", "linear 64->32", "Transformer (module)").
+std::string StepKind(const FusedEngine::StepProfile& step) {
+  if (IsFallbackStep(step)) {
     return "module";
   }
-  const std::string head = label.substr(0, label.find(' '));
+  const std::string head = step.label.substr(0, step.label.find(' '));
   if (head == "conv" || head.rfind("res.", 0) == 0 || head == "adapter.conv") {
     return "conv";
   }
@@ -115,7 +115,9 @@ double TimedRun(ZooModel& z, const Tensor& input) {
   return ms;
 }
 
-void CheckOutputs(ZooModel& z, const Args& args, Report& report) {
+// Checks the outputs of `z` and returns the batch-1 latency of its eager
+// MultiTaskModel::Forward, which the check computes anyway.
+double CheckOutputs(ZooModel& z, const Args& args, Report& report) {
   const std::string tag = "B" + std::to_string(z.index);
   std::vector<Tensor> eager8 = z.model->Forward(z.batch, /*training=*/false);
   std::vector<Tensor> fused8;
@@ -127,8 +129,11 @@ void CheckOutputs(ZooModel& z, const Args& args, Report& report) {
   }
   bool batch8_ok = true;
   int64_t failed = 0;
+  std::vector<double> eager_ms;
   for (int r = 0; r < kBatch; ++r) {
+    const int64_t start = NowNs();
     std::vector<Tensor> eager1 = z.model->Forward(z.rows[static_cast<size_t>(r)], false);
+    eager_ms.push_back(MsSince(start));
     std::vector<Tensor> fused1;
     for (const Tensor& t : z.engine->Run(z.rows[static_cast<size_t>(r)])) {
       fused1.push_back(t.Clone());
@@ -150,6 +155,7 @@ void CheckOutputs(ZooModel& z, const Args& args, Report& report) {
   }
   report.AddAttempted(1 + kBatch);
   report.AddFailed(failed + (batch8_ok ? 0 : 1));
+  return Quantile(eager_ms, kLatencyQuantile);
 }
 
 }  // namespace
@@ -172,18 +178,23 @@ void RunInferZoo(const Args& args, Report& report) {
   }
   report.AddAttempted(rounds * static_cast<int64_t>(zoo.size()) * 2);
 
-  std::vector<double> b1_medians;
+  std::vector<double> b1s;
   std::vector<double> b8_rates;
-  double plan_build_ms = 0.0;
+  std::vector<double> batching_gains;
+  std::vector<double> plan_build_ms;
+  double share_sum = 0.0;
+  double graph_mflops = 0.0;
+  KernelWork kernels;
   std::map<std::string, double> kind_seconds;
   std::map<std::string, double> kind_flops;
   for (ZooModel& z : zoo) {
     const std::string tag = "B" + std::to_string(z.index);
     const double b1 = Quantile(z.b1_ms, kLatencyQuantile);
     const double b8 = Quantile(z.b8_ms, kLatencyQuantile);
-    b1_medians.push_back(b1);
+    b1s.push_back(b1);
     b8_rates.push_back(kBatch * 1000.0 / b8);
-    plan_build_ms += z.plan_build_ms / static_cast<double>(zoo.size());
+    batching_gains.push_back(kBatch * b1 / b8);
+    plan_build_ms.push_back(z.plan_build_ms);
     report.Metric("infer." + tag + ".b1_ms", b1, "ms");
     report.Metric("infer." + tag + ".b8_ms", b8, "ms");
     report.Metric("runtime." + tag + ".bytes_per_run",
@@ -191,28 +202,30 @@ void RunInferZoo(const Args& args, Report& report) {
 
     // Every step ran once per timed run: `rounds` times at batch 1 and
     // `rounds` times at batch 8.
+    const double samples = static_cast<double>(rounds) * (1 + kBatch);
     std::vector<FusedEngine::StepProfile> profile;
     {
       LayerSpan span("pb/runtime/Profile");
       profile = z.engine->Profile();
     }
-    double step_flops = 0.0;
+    kernels.Add(profile, samples);
     int fallbacks = 0;
     for (const FusedEngine::StepProfile& step : profile) {
-      const std::string kind = StepKind(step.label);
-      fallbacks += kind == "module" ? 1 : 0;
-      step_flops += step.flops;
+      const std::string kind = StepKind(step);
+      fallbacks += IsFallbackStep(step) ? 1 : 0;
       kind_seconds[kind] += step.total_ms / 1e3;
-      kind_flops[kind] += step.flops * static_cast<double>(rounds) * (1 + kBatch);
+      kind_flops[kind] += step.flops * samples;
     }
     const double graph_flops = static_cast<double>(z.graph.TotalFlops());
-    double share = step_flops / graph_flops;
+    graph_mflops += graph_flops / 1e6;
+    double share = AttributedFlopsShare(profile, graph_flops);
     if (args.inject == "flops-mismatch" && z.index == 1) {
       share *= 0.8;
     }
     if (args.inject == "fallback-count" && z.index == 7) {
       ++fallbacks;
     }
+    share_sum += share;
     report.Metric("runtime." + tag + ".fallback_steps", fallbacks, "count");
     report.Metric("runtime." + tag + ".attributed_flops_share", share, "ratio");
     report.Check(fallbacks == z.engine->num_fallback_modules(),
@@ -223,9 +236,15 @@ void RunInferZoo(const Args& args, Report& report) {
                        std::to_string(share) + ")");
     }
   }
-  report.Metric("infer_b1_ms", GeoMean(b1_medians), "ms");
-  report.Metric("infer_b8_sps", GeoMean(b8_rates), "1/s");
-  report.Metric("runtime.plan_build_ms", plan_build_ms, "ms");
+  report.Metric("latency_ms", GeoMean(b1s), "ms");
+  report.Metric("throughput_per_s", GeoMean(b8_rates), "1/s");
+  report.Metric("speedup_x", GeoMean(batching_gains), "x");
+  report.Metric("runtime.b1_ms", GeoMean(b1s), "ms");
+  report.Metric("runtime.plan_build_ms", Median(plan_build_ms), "ms");
+  report.Metric("runtime.attributed_flops_share", share_sum / static_cast<double>(zoo.size()),
+                "ratio");
+  report.Metric("kernels.gflops", kernels.Gflops(), "GFLOP/s");
+  report.Metric("model.mflops", graph_mflops, "MFLOP");
   for (const auto& [kind, seconds] : kind_seconds) {
     report.Metric("runtime.step." + kind + "_ms", seconds * 1e3 / static_cast<double>(rounds),
                   "ms");
@@ -235,9 +254,11 @@ void RunInferZoo(const Args& args, Report& report) {
   }
 
   LayerSpan span("pb/bench/check");
+  std::vector<double> eager_b1;
   for (ZooModel& z : zoo) {
-    CheckOutputs(z, args, report);
+    eager_b1.push_back(CheckOutputs(z, args, report));
   }
+  report.Metric("nn.forward_b1_ms", GeoMean(eager_b1), "ms");
 }
 
 }  // namespace perfbench

@@ -56,7 +56,7 @@ constexpr double kPeakRpsGuess = 2100.0;
 // Shares of the run per phase. The burst gets the largest: the throughput
 // two replicas reach drifts by up to a quarter from second to second on a
 // shared VM (1840-2360 req/s in successive 1 s windows of one burst), so
-// serve_peak_rps needs the longest average.
+// throughput_per_s needs the longest average.
 constexpr double kModerateShare = 0.25;
 constexpr double kHighShare = 0.15;
 constexpr double kBurstShare = 0.40;
@@ -65,6 +65,9 @@ constexpr double kSwapShare = 0.20;
 constexpr double kBurstFactor = 3.0;
 constexpr double kBurstPhaseMs = 50.0;
 constexpr double kSwapPeriodMs = 250.0;
+// Rounds of one batch-1 and one batch-8 run of one replica behind
+// runtime.b1_ms, speedup_x and kernels.gflops.
+constexpr int kProbeRounds = 150;
 constexpr double kAtol = 1e-4;
 constexpr double kRtol = 1e-3;
 uint64_t HashRow(const float* row, int64_t n) {
@@ -378,8 +381,8 @@ void ServeBench::Run() {
     RunPhase(phase, pool, &next_request);
     if (phase.name == "moderate") {
       heap_bytes = HeapBytesNow() - heap0;
-      engine_run_ms =
-          static_cast<double>(log_->run_ns.load() - run_ns0) / 1e6 / static_cast<double>(phase.batches);
+      engine_run_ms = static_cast<double>(log_->run_ns.load() - run_ns0) / 1e6 /
+                      static_cast<double>(phase.batches);
     } else if (phase.name == "high") {
       queue_p50 = queue_wait.Quantile(0.5);
       queue_p99 = queue_wait.Quantile(0.99);
@@ -402,12 +405,12 @@ void ServeBench::Run() {
     report_.Metric("serving.mean_batch." + phase.name,
                    static_cast<double>(phase.rows) / static_cast<double>(phase.batches), "count");
     if (phase.name == "moderate") {
-      report_.Metric("serve_p50_ms", Quantile(latency, 0.5), "ms");
+      report_.Metric("latency_ms", Quantile(latency, 0.5), "ms");
       report_.Metric("serve_p99_ms", Quantile(latency, 0.99), "ms");
     } else if (phase.name == "high") {
       report_.Metric("serve_hi_p99_ms", Quantile(latency, 0.99), "ms");
     } else if (phase.name == "burst") {
-      report_.Metric("serve_peak_rps",
+      report_.Metric("throughput_per_s",
                      static_cast<double>(phase.due_ns.size()) /
                          (static_cast<double>(last_done - phase.start_ns) / 1e9),
                      "1/s");
@@ -432,8 +435,8 @@ void ServeBench::Run() {
   report_.Metric("runtime.plan_build_ms", Median(plan_build_ms_), "ms");
 
   // Service times of one unwrapped replica, per batch size.
+  gmorph::EngineReplica probe = MakeReplica(/*wrapped=*/false);
   {
-    gmorph::EngineReplica probe = MakeReplica(/*wrapped=*/false);
     LayerSpan span("pb/serving/CalibrateServiceTimes");
     const gmorph::ServiceTimeTable table =
         gmorph::CalibrateServiceTimes(*probe.engine, row_shape_, kMaxBatch, /*repeats=*/25);
@@ -441,14 +444,56 @@ void ServeBench::Run() {
       report_.Metric("serving.service_b" + std::to_string(b) + "_ms", table.BatchMs(b), "ms");
     }
   }
+  // One replica's engine at batch 1 and 8, interleaved: the gain batching
+  // gives the server to draw on, as infer-zoo measures it, and the plan's
+  // kernel steps at both sizes.
+  {
+    auto* engine = dynamic_cast<gmorph::FusedEngine*>(probe.engine.get());
+    Tensor batch(row_shape_.WithBatch(kMaxBatch));
+    for (int r = 0; r < kMaxBatch; ++r) {
+      std::copy(payloads_[static_cast<size_t>(r)].data(),
+                payloads_[static_cast<size_t>(r)].data() + row_elems,
+                batch.data() + r * row_elems);
+    }
+    engine->Run(payloads_[0]);
+    engine->Run(batch);
+    engine->ResetProfile();
+    std::vector<double> b1_ms;
+    std::vector<double> b8_ms;
+    for (int i = 0; i < kProbeRounds; ++i) {
+      LayerSpan span("pb/runtime/Run");
+      int64_t start = NowNs();
+      engine->Run(payloads_[static_cast<size_t>(i % kPayloads)]);
+      b1_ms.push_back(MsSince(start));
+      start = NowNs();
+      engine->Run(batch);
+      b8_ms.push_back(MsSince(start));
+    }
+    const double b1 = Quantile(b1_ms, kLatencyQuantile);
+    report_.Metric("runtime.b1_ms", b1, "ms");
+    report_.Metric("speedup_x", kMaxBatch * b1 / Quantile(b8_ms, kLatencyQuantile), "x");
+    LayerSpan span("pb/runtime/Profile");
+    const std::vector<gmorph::FusedEngine::StepProfile> profile = engine->Profile();
+    KernelWork kernels;
+    kernels.Add(profile, static_cast<double>(kProbeRounds * (1 + kMaxBatch)));
+    report_.Metric("kernels.gflops", kernels.Gflops(), "GFLOP/s");
+    report_.Metric("runtime.attributed_flops_share",
+                   AttributedFlopsShare(profile, static_cast<double>(graph.TotalFlops())),
+                   "ratio");
+    report_.Metric("model.mflops", static_cast<double>(graph.TotalFlops()) / 1e6, "MFLOP");
+  }
 
   LayerSpan span("pb/bench/check");
   report_.Check(log_->stray_rows.load() == 0,
                 std::to_string(log_->stray_rows.load()) + " served rows matched no request");
   std::vector<std::vector<Tensor>> reference;
+  std::vector<double> eager_ms;
   for (const Tensor& payload : payloads_) {
+    const int64_t start = NowNs();
     reference.push_back(seeded.Forward(payload, /*training=*/false));
+    eager_ms.push_back(MsSince(start));
   }
+  report_.Metric("nn.forward_b1_ms", Quantile(eager_ms, kLatencyQuantile), "ms");
   int64_t missing = 0, wrong = 0;
   for (int64_t g = 0; g < total; ++g) {
     if (log_->done_ns[static_cast<size_t>(g)] == 0) {
